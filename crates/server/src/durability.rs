@@ -16,7 +16,8 @@
 //! exactly the effect of WAL records up to that command's sequence number — a
 //! consistent cut — and a clone of it can be written out by a background thread as:
 //!
-//! * a sorted-run file of `(input, row, diff)` contents (`ckpt-<id>.run`), and
+//! * a sorted-run file of the sealed contents as wire-encoded `Update` commands
+//!   (`ckpt-<id>.run`), and
 //! * a [`Manifest`] naming the epoch, the WAL watermark, the inputs, and the installed
 //!   plans, committed by atomic rename (the manifest *is* the checkpoint).
 //!
@@ -39,7 +40,6 @@ use kpg_plan::{Command, Row};
 use kpg_store::bytes::{get_bytes, get_u64, put_bytes, put_u64};
 use kpg_store::run::DEFAULT_BLOCK_BYTES;
 use kpg_store::{Manifest, RunReader, RunWriter, Wal};
-use kpg_trace::StoreData;
 use kpg_wire::WireCodec;
 
 /// Where and how a server persists its command log and checkpoints.
@@ -242,12 +242,18 @@ pub(crate) fn write_checkpoint(
         .expect("checkpoints are cut only at epoch seals");
     let run_name = run_file_name(checkpoint_id);
     let mut writer = RunWriter::create(dir.join(&run_name), DEFAULT_BLOCK_BYTES)?;
+    // One reused buffer: a per-entry allocation doubles the checkpoint's cost.
     let mut entry = Vec::new();
     for (name, contents) in &tracker.sealed {
         let mut key_boundary = true;
         for (row, diff) in contents {
+            let update = Command::Update {
+                name: name.clone(),
+                row: row.clone(),
+                diff: *diff,
+            };
             entry.clear();
-            (name.clone(), row.clone(), *diff as i64).store(&mut entry);
+            update.encode_into(&mut entry);
             writer.push(&entry, key_boundary)?;
             key_boundary = false;
         }
@@ -259,16 +265,11 @@ pub(crate) fn write_checkpoint(
     put_u64(&mut id_payload, checkpoint_id);
     records.push((TAG_CHECKPOINT.to_string(), id_payload));
     for (name, key_arity) in &tracker.inputs {
-        let mut payload = Vec::new();
-        put_bytes(&mut payload, name.as_bytes());
-        match key_arity {
-            None => payload.push(0),
-            Some(arity) => {
-                payload.push(1);
-                put_u64(&mut payload, *arity as u64);
-            }
-        }
-        records.push((TAG_INPUT.to_string(), payload));
+        let record = Command::CreateInput {
+            name: name.clone(),
+            key_arity: *key_arity,
+        };
+        records.push((TAG_INPUT.to_string(), record.encode()));
     }
     for install in &tracker.installs {
         records.push((TAG_INSTALL.to_string(), install.encoded.clone()));
@@ -316,32 +317,18 @@ fn tracker_from_manifest(dir: &Path, manifest: &Manifest) -> io::Result<(StateTr
                     get_u64(payload, &mut pos).ok_or_else(|| corrupt("manifest ckpt id"))?;
             }
             TAG_INPUT => {
-                let mut pos = 0;
-                let name = get_bytes(payload, &mut pos)
-                    .and_then(|bytes| String::from_utf8(bytes).ok())
-                    .ok_or_else(|| corrupt("manifest input name"))?;
-                let key_arity = match payload.get(pos) {
-                    Some(0) => None,
-                    Some(1) => {
-                        pos += 1;
-                        Some(
-                            get_u64(payload, &mut pos).ok_or_else(|| corrupt("input arity"))?
-                                as usize,
-                        )
-                    }
-                    _ => return Err(corrupt("manifest input arity tag")),
+                let Ok(Command::CreateInput { name, key_arity }) = Command::decode(payload) else {
+                    return Err(corrupt("manifest input is not a CreateInput"));
                 };
                 tracker.inputs.insert(name, key_arity);
             }
             TAG_INSTALL => {
-                let command =
-                    Command::decode(payload).map_err(|_| corrupt("manifest install command"))?;
-                let Command::Install { name, locals, .. } = &command else {
+                let Ok(Command::Install { name, locals, .. }) = Command::decode(payload) else {
                     return Err(corrupt("manifest install is not an Install"));
                 };
                 tracker.installs.push(InstallRecord {
-                    name: name.clone(),
-                    locals: locals.clone(),
+                    name,
+                    locals,
                     encoded: payload.clone(),
                 });
             }
@@ -359,15 +346,10 @@ fn tracker_from_manifest(dir: &Path, manifest: &Manifest) -> io::Result<(StateTr
         let mut reader = RunReader::open(dir.join(run_name))?;
         for block in 0..reader.block_count() {
             for entry in reader.read_block(block)? {
-                let mut pos = 0;
-                let (name, row, diff) = <(String, Row, i64)>::load(&entry, &mut pos)
-                    .filter(|_| pos == entry.len())
-                    .ok_or_else(|| corrupt("checkpoint run entry"))?;
-                tracker
-                    .sealed
-                    .entry(name)
-                    .or_default()
-                    .insert(row, diff as isize);
+                let Ok(Command::Update { name, row, diff }) = Command::decode(&entry) else {
+                    return Err(corrupt("checkpoint run entry is not an Update"));
+                };
+                tracker.sealed.entry(name).or_default().insert(row, diff);
             }
         }
     }
@@ -440,7 +422,7 @@ pub(crate) fn recover(config: &DurabilityConfig) -> io::Result<Recovered> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kpg_plan::Value;
+    use kpg_plan::{Plan, Value};
 
     fn temp_dir(tag: &str) -> PathBuf {
         use kpg_sync::atomic::{AtomicU64, Ordering};
@@ -549,7 +531,37 @@ mod tests {
                 source,
             );
         }
+        // Edge cases of the row codec: an unkeyed input, every value kind (a
+        // negative `Int`, empty and non-ASCII strings), an empty row, and a net
+        // negative diff.
+        tracker.apply(
+            &Command::CreateInput {
+                name: "misc".into(),
+                key_arity: None,
+            },
+            4,
+        );
+        let misc = [
+            (Row::from(vec![Value::Int(-5), Value::UInt(u64::MAX)]), 1),
+            (
+                Row::from(vec![Value::String(String::new()), Value::from("näïve ✓")]),
+                2,
+            ),
+            (Row::new(), 1),
+            (row(vec![9]), -1),
+        ];
+        for (contents, diff) in misc {
+            tracker.apply(
+                &Command::Update {
+                    name: "misc".into(),
+                    row: contents,
+                    diff,
+                },
+                5,
+            );
+        }
         assert!(tracker.apply(&Command::AdvanceTime { epoch: 1 }, 7));
+        assert_eq!(tracker.sealed["misc"].len(), 4);
 
         let watermark = write_checkpoint(&dir, &tracker, 3).unwrap();
         assert_eq!(watermark, 7);
@@ -561,6 +573,8 @@ mod tests {
         assert_eq!(recovered.watermark(), Some(7));
         assert_eq!(recovered.sealed, tracker.sealed);
         assert_eq!(recovered.inputs, tracker.inputs);
+        assert_eq!(recovered.inputs["misc"], None);
+        assert_eq!(recovered.bootstrap_commands(), tracker.bootstrap_commands());
 
         // A second checkpoint removes the superseded run file.
         assert!(dir.join(run_file_name(3)).exists());
@@ -568,6 +582,51 @@ mod tests {
         assert!(!dir.join(run_file_name(3)).exists());
         assert!(dir.join(run_file_name(4)).exists());
 
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Checkpoint data that frames correctly but decodes to the wrong command (or
+    /// not at all) is corruption: recovery refuses it with `InvalidData`.
+    #[test]
+    fn recovery_rejects_mistyped_checkpoint_data() {
+        let dir = temp_dir("mistyped");
+        let update = Command::Update {
+            name: "edges".into(),
+            row: row(vec![1, 2]),
+            diff: 1,
+        }
+        .encode();
+        let install = Command::Install {
+            name: "q".into(),
+            plan: Plan::Source("edges".into()),
+            locals: Vec::new(),
+        }
+        .encode();
+        let run_record = |name: &str| {
+            let mut payload = Vec::new();
+            put_bytes(&mut payload, name.as_bytes());
+            (TAG_RUN.to_string(), payload)
+        };
+        let manifest = |record: (String, Vec<u8>)| Manifest {
+            epoch: 1,
+            wal_watermark: 0,
+            records: vec![record],
+        };
+        let mut cases = Vec::new();
+        for (file, entry) in [
+            ("advance.run", Command::AdvanceTime { epoch: 1 }.encode()),
+            ("truncated.run", update[..update.len() - 1].to_vec()),
+        ] {
+            let mut writer = RunWriter::create(dir.join(file), DEFAULT_BLOCK_BYTES).unwrap();
+            writer.push(&entry, true).unwrap();
+            writer.finish().unwrap();
+            cases.push(manifest(run_record(file)));
+        }
+        cases.push(manifest((TAG_INPUT.to_string(), install)));
+        for manifest in &cases {
+            let error = tracker_from_manifest(&dir, manifest).unwrap_err();
+            assert_eq!(error.kind(), io::ErrorKind::InvalidData, "{error}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

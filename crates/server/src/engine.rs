@@ -7,7 +7,7 @@
 //! that asked. [`ServerCore`] is that job, with the network left out so tests can pin
 //! its arbitration rules deterministically:
 //!
-//! * **Sequencing.** [`ServerCore::submit`] appends to the shared [`command
+//! * **Sequencing.** [`ServerCore::submit_batch`] appends to the shared [`command
 //!   log`](ServerCore::command_log) under one lock; the append order *is* the
 //!   arbitration order for every name conflict. An `Uninstall` sequenced before a
 //!   queued `Install` referencing the same input makes the install fail
@@ -574,43 +574,6 @@ impl ServerCore {
         client
     }
 
-    /// Appends `command` from `client` (answering its request number `reply`) to the
-    /// log. Sequencing happens under the client-state lock, so the log order *is* the
-    /// arbitration order.
-    ///
-    /// Returns the sequence number, or `u64::MAX` if the command was not sequenced —
-    /// the log is closed, or the core is in degraded read-only mode and the command
-    /// mutates (it was answered with the `degraded-read-only` plan error instead).
-    pub fn submit(&self, client: ClientId, reply: u64, command: Command) -> u64 {
-        let mut clients = self.clients.lock().expect("client state poisoned");
-        // Degraded read-only mode: a core that cannot persist mutations refuses them
-        // up front rather than acknowledging work it may lose. Queries pass — the
-        // in-memory state is intact and reads were never logged anyway. Checked
-        // before the Uninstall-at-submit ownership edit below, so a rejected
-        // uninstall leaves ownership untouched.
-        if !matches!(command, Command::Query { .. }) && self.is_degraded() {
-            Self::reject_degraded(&clients, client, reply);
-            return u64::MAX;
-        }
-        // An Uninstall frees the name *at submit*: once one is sequenced, no
-        // disconnect between now and its execution may still count the query as owned
-        // (a cleanup Uninstall sequenced behind it would fall through to a same-named
-        // input). Install claims happen at completion, never here — see `deposit`.
-        if let Command::Uninstall { name } = &command {
-            clients.owners.remove(name);
-        }
-        match self.append(Some((client, reply)), command) {
-            Ok(seq) => seq,
-            // The group commit for this epoch failed past its retry budget: the
-            // advance was unstaged and never sequenced, and the core is now
-            // degraded. Answer the client honestly instead of acknowledging.
-            Err(()) => {
-                Self::reject_degraded(&clients, client, reply);
-                u64::MAX
-            }
-        }
-    }
-
     /// Answers `client`'s request `reply` with the degraded-read-only plan error,
     /// without sequencing anything.
     fn reject_degraded(clients: &ClientState, client: ClientId, reply: u64) {
@@ -767,7 +730,7 @@ impl ServerCore {
                 // While degraded, don't even try: the probe owns retries, and a
                 // failing disk under the sequencing lock would stall every client.
                 // (Reached when the checkpoint thread degraded the core after
-                // submit's up-front check passed.)
+                // `submit_batch`'s up-front check passed.)
                 if self.is_degraded() {
                     state.wal_pending.remove(wal_seq);
                     return Err(());
@@ -797,15 +760,15 @@ impl ServerCore {
         Ok(seq)
     }
 
-    /// Sequences a whole batch of client commands under **one** acquisition of
-    /// each lock: one client-state pass (degraded checks and the
-    /// Uninstall-at-submit ownership edits), one log pass (WAL staging for every
-    /// command, group commit wherever an `AdvanceTime` falls), and one doorbell
-    /// ring for the entire batch. This is the reactor's submission path: however
-    /// many connections became readable in one wakeup, the sequencer lock is
-    /// taken once, not once per command — while the arbitration rules stay
-    /// *identical* to per-command [`ServerCore::submit`], because batch order is
-    /// append order is arbitration order.
+    /// Sequences a batch of client commands, each answering its client's request
+    /// number, under **one** acquisition of each lock: one client-state pass
+    /// (degraded checks and the Uninstall-at-submit ownership edits), one log pass
+    /// (WAL staging for every command, group commit wherever an `AdvanceTime`
+    /// falls), and one doorbell ring for the entire batch. This is the one
+    /// submission path — the reactor's, and the tests' with one-command batches:
+    /// however many connections became readable in one wakeup, the sequencer lock
+    /// is taken once, not once per command. Batch order is append order is
+    /// arbitration order.
     ///
     /// Degradation mid-batch behaves exactly like degradation mid-stream: once a
     /// group commit fails, every later mutation in the batch is rejected with
@@ -819,14 +782,24 @@ impl ServerCore {
         let mut rejected: Vec<(ClientId, u64)> = Vec::new();
         let mut sequenced = 0;
         for (client, reply, command) in batch {
-            // Submissions after close are ignored, as on the single-command path.
+            // Submissions after close are ignored.
             if log.closed {
                 continue;
             }
+            // Degraded read-only mode: a core that cannot persist mutations refuses
+            // them up front rather than acknowledging work it may lose. Queries pass —
+            // the in-memory state is intact and reads were never logged anyway.
+            // Checked before the Uninstall-at-submit ownership edit below, so a
+            // rejected uninstall leaves ownership untouched.
             if !matches!(command, Command::Query { .. }) && self.is_degraded() {
                 rejected.push((client, reply));
                 continue;
             }
+            // An Uninstall frees the name *at submit*: once one is sequenced, no
+            // disconnect between now and its execution may still count the query as
+            // owned (a cleanup Uninstall sequenced behind it would fall through to a
+            // same-named input). Install claims happen at completion, never here —
+            // see `deposit`.
             if let Command::Uninstall { name } = &command {
                 clients.owners.remove(name);
             }

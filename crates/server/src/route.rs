@@ -7,8 +7,7 @@
 //!
 //! * [`ChannelRoute`] — an mpsc channel, one per client. What
 //!   [`ServerCore::register_client`](crate::ServerCore::register_client)
-//!   creates; the embedding test (or the blocking [`Client`](crate::Client)
-//!   handle's old thread-per-connection peer) blocks on the receiver.
+//!   creates; the embedding test blocks on the receiver.
 //! * `QueueRoute` (in the server's reactor module) — one shared queue for every
 //!   socket-backed client, plus a reactor waker rung when the queue goes
 //!   non-empty, so the worker pool never blocks on socket writes and the

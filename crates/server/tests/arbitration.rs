@@ -56,7 +56,8 @@ impl Harness {
     fn run(&mut self, index: usize, command: Command) -> Response {
         let reply = self.next_reply[index];
         self.next_reply[index] += 1;
-        self.core.submit(self.client(index), reply, command);
+        self.core
+            .submit_batch([(self.client(index), reply, command)]);
         let (got_reply, response) = self.replies[index]
             .1
             .recv_timeout(Duration::from_secs(20))
@@ -374,7 +375,7 @@ fn in_flight_install_of_a_departed_client_is_retired() {
     let departing = harness.client(1);
     harness
         .core
-        .submit(departing, 0, install("ghost", count_plan("edges")));
+        .submit_batch([(departing, 0, install("ghost", count_plan("edges")))]);
     harness.core.disconnect(departing);
 
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
@@ -407,16 +408,16 @@ fn consumed_log_entries_are_pruned() {
     let engine = core.start();
     let (client, responses) = core.register_client();
     let total = 200u64;
-    core.submit(
+    core.submit_batch([(
         client,
         0,
         Command::CreateInput {
             name: "edges".to_string(),
             key_arity: None,
         },
-    );
+    )]);
     for index in 0..total {
-        core.submit(
+        core.submit_batch([(
             client,
             index + 1,
             Command::Update {
@@ -424,7 +425,7 @@ fn consumed_log_entries_are_pruned() {
                 row: row(&[index, index + 1]),
                 diff: 1,
             },
-        );
+        )]);
     }
     for _ in 0..=total {
         responses

@@ -95,11 +95,11 @@ fn arbitration_order_is_total() {
         };
         let submit_a = {
             let core = Arc::clone(&core);
-            thread::spawn(move || core.submit(client_a, 0, install("q")))
+            thread::spawn(move || core.submit_batch([(client_a, 0, install("q"))]))
         };
         let submit_b = {
             let core = Arc::clone(&core);
-            thread::spawn(move || core.submit(client_b, 0, install("q")))
+            thread::spawn(move || core.submit_batch([(client_b, 0, install("q"))]))
         };
         submit_a.join().unwrap();
         submit_b.join().unwrap();
@@ -142,7 +142,7 @@ fn install_ownership_vs_disconnect_never_leaks() {
         };
         let submitter = {
             let core = Arc::clone(&core);
-            thread::spawn(move || core.submit(client, 0, install("q")))
+            thread::spawn(move || core.submit_batch([(client, 0, install("q"))]))
         };
         let disconnector = {
             let core = Arc::clone(&core);
@@ -480,11 +480,11 @@ fn long_exploration_sweep() {
         };
         let submit_a = {
             let core = Arc::clone(&core);
-            thread::spawn(move || core.submit(client_a, 0, install("q")))
+            thread::spawn(move || core.submit_batch([(client_a, 0, install("q"))]))
         };
         let submit_b = {
             let core = Arc::clone(&core);
-            thread::spawn(move || core.submit(client_b, 0, install("q")))
+            thread::spawn(move || core.submit_batch([(client_b, 0, install("q"))]))
         };
         submit_a.join().unwrap();
         submit_b.join().unwrap();

@@ -364,7 +364,7 @@ fn run_core_without_checkpoint(dir: &Path, segment_bytes: u64, commands: &[Comma
     core.await_replayed();
     let (client, responses) = core.register_client();
     for (reply, command) in commands.iter().enumerate() {
-        core.submit(client, reply as u64, command.clone());
+        core.submit_batch([(client, reply as u64, command.clone())]);
     }
     for index in 0..commands.len() {
         let (_, response) = responses.recv().expect("engine response");

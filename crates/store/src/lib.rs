@@ -1,4 +1,4 @@
-//! Durable storage primitives for the query server and the trace spine.
+//! Durable storage primitives for the query server.
 //!
 //! The paper's interactive service keeps every arrangement in memory and forgets
 //! everything on exit. This crate supplies the three on-disk building blocks that fix
@@ -11,16 +11,16 @@
 //!   first corrupt record. The server appends its wire-encoded command log here.
 //! * [`run`] — immutable **sorted-run files**: CRC-framed blocks of sorted entries
 //!   whose boundaries align with key boundaries, plus a sparse first-entry index, so
-//!   a reader can binary-search to a block and stream from there. Checkpoints and
-//!   spilled spine layers share this format.
+//!   a reader can binary-search to a block and stream from there. Checkpoints are
+//!   written in this format.
 //! * [`manifest`] — the **checkpoint manifest**, committed by temp-file + rename so
 //!   the rename is the commit point: recovery that finds a manifest trusts it and
 //!   replays only the WAL records past its watermark; a crash between manifest write
 //!   and WAL pruning recovers identically from either state.
 //!
 //! The crate is dependency-free and byte-oriented: callers bring their own encodings
-//! (the server uses the wire codec, the trace uses `StoreData`), this crate owns
-//! framing, checksums, segmentation, and atomic commit.
+//! (the server writes wire-encoded commands to its WAL and checkpoint runs), this
+//! crate owns framing, checksums, segmentation, and atomic commit.
 //!
 //! Two cross-cutting modules harden all three against a disk that fails rather than
 //! merely crashes: every file operation routes through the [`io`] seam (a zero-cost

@@ -1,8 +1,8 @@
 //! Immutable sorted-run files: CRC-framed blocks of sorted entries with a sparse
 //! first-entry index.
 //!
-//! A run file is how sealed state leaves memory — a checkpointed input's contents, or
-//! a cold spine layer spilled by the trace. The layout (SSTable-style):
+//! A run file is how sealed state leaves memory — a checkpoint's input contents. The
+//! layout (SSTable-style):
 //!
 //! ```text
 //! header:  b"KPGRUN01" ++ u32 version
@@ -13,11 +13,13 @@
 //! footer:  u64 index offset ++ u64 total entries ++ u32 crc32(index) ++ b"KPGRUN01"
 //! ```
 //!
-//! Entries are opaque, sorted byte strings supplied by the caller. The caller marks
-//! *key boundaries* as it pushes; a block is only ever cut at a key boundary, so a
-//! key's entries never span blocks and a reader holding the sparse index (each
-//! block's first entry) can binary-search to the one block that can contain a key and
-//! stream from there. Blocks and the index carry CRCs; [`RunReader::open`] validates
+//! Entries are opaque byte strings supplied by the caller in its own order. The caller
+//! marks *key boundaries* as it pushes; a block is only ever cut at a key boundary, so
+//! a key's entries never span blocks, and when the entries are byte-sorted a reader
+//! holding the sparse index (each block's first entry) can binary-search to the one
+//! block that can contain a key and stream from there. Checkpoints push each input's
+//! rows in `Row` order, mark the input's first row as a boundary, and read every block
+//! back in order. Blocks and the index carry CRCs; [`RunReader::open`] validates
 //! the footer and index eagerly and each block on read, so a damaged run is detected,
 //! not misread.
 
@@ -50,8 +52,8 @@ pub struct RunMeta {
     pub first_entries: Vec<Vec<u8>>,
 }
 
-/// Streams sorted entries into a run file. Entries must be pushed in their final
-/// (sorted) order; the writer only frames and indexes them.
+/// Streams entries into a run file. Entries are pushed in their final order; the
+/// writer only frames and indexes them.
 pub struct RunWriter {
     file: BufWriter<crate::io::File>,
     offset: u64,

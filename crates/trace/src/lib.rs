@@ -19,9 +19,6 @@
 //!   one batch or the union of many.
 //! * [`Spine`](spine::Spine) — the amortized-merging trace, with logical compaction
 //!   driven by reader frontiers (MVCC-style "vacuuming", §4.2 "Consolidation").
-//! * [`StoredLayer`](stored::StoredLayer) — a sealed layer spilled to a `kpg_store`
-//!   sorted-run file and read back through a streaming [`StoredCursor`](stored::StoredCursor),
-//!   so a trace larger than its memory budget still answers through the same cursors.
 //! * [`Semigroup`]/[`Abelian`](diff::Abelian)/[`Multiply`](diff::Multiply) — the algebra
 //!   required of the `diff` component.
 
@@ -35,7 +32,6 @@ pub mod diff;
 pub mod key_batch;
 pub mod ord_batch;
 pub mod spine;
-pub mod stored;
 
 pub use consolidation::{consolidate, consolidate_updates};
 pub use cursor::{Cursor, CursorList};
@@ -44,7 +40,6 @@ pub use diff::{Abelian, Multiply, Semigroup};
 pub use key_batch::OrdKeyBatch;
 pub use ord_batch::OrdValBatch;
 pub use spine::{MergeEffort, Spine};
-pub use stored::{spill_batch, LayerCursor, StoreData, StoredCursor, StoredLayer};
 
 use kpg_timestamp::{Antichain, AntichainRef, Lattice, Timestamp};
 

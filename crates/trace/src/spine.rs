@@ -11,11 +11,7 @@
 //! all reader frontiers. Merges advance update times to this frontier and consolidate
 //! updates that become indistinguishable, the analogue of MVCC vacuuming.
 
-use std::io;
-use std::path::Path;
-
 use crate::cursor::CursorList;
-use crate::stored::{spill_batch, LayerCursor, StoreData, StoredLayer};
 use crate::{Batch, Merger};
 use kpg_timestamp::{Antichain, AntichainRef, Timestamp};
 
@@ -52,10 +48,6 @@ enum Layer<B: Batch> {
     Single(B),
     /// Two abutting batches being merged, with the in-progress merger.
     Merging(B, B, B::Merger),
-    /// A settled batch spilled to a sorted-run file; only its handle stays resident.
-    /// Stored layers never participate in merges (compaction of spilled runs is a
-    /// follow-on); they are read through streaming cursors.
-    Stored(StoredLayer<B>),
     /// Transient placeholder installed while a layer's contents are moved out by value.
     /// Never observable outside [`Spine::apply_fuel`] / [`Spine::consider_merges`]; it
     /// exists so extraction does not have to allocate an empty batch.
@@ -67,7 +59,6 @@ impl<B: Batch> Layer<B> {
         match self {
             Layer::Single(batch) => batch.len(),
             Layer::Merging(a, b, _) => a.len() + b.len(),
-            Layer::Stored(stored) => stored.len(),
             Layer::Taken => unreachable!("transient layer observed"),
         }
     }
@@ -124,27 +115,8 @@ impl<B: Batch> Spine<B> {
             .map(|l| match l {
                 Layer::Single(_) => 1,
                 Layer::Merging(..) => 2,
-                Layer::Stored(_) => 1,
                 Layer::Taken => unreachable!("transient layer observed"),
             })
-            .sum()
-    }
-
-    /// The number of layers spilled to sorted-run files.
-    pub fn stored_layer_count(&self) -> usize {
-        self.layers
-            .iter()
-            .filter(|l| matches!(l, Layer::Stored(_)))
-            .count()
-    }
-
-    /// The number of updates held by in-memory layers only (the spine's resident
-    /// footprint; [`Spine::len`] additionally counts spilled updates).
-    pub fn in_memory_len(&self) -> usize {
-        self.layers
-            .iter()
-            .filter(|l| !matches!(l, Layer::Stored(_)))
-            .map(|l| l.len())
             .sum()
     }
 
@@ -163,9 +135,7 @@ impl<B: Batch> Spine<B> {
         self.inserted
     }
 
-    /// Applies `logic` to every batch, oldest first. A spilled layer is materialized
-    /// back into a transient in-memory batch for the call — use [`Spine::cursor`] when
-    /// streaming access suffices.
+    /// Applies `logic` to every batch, oldest first.
     pub fn map_batches(&self, mut logic: impl FnMut(&B)) {
         for layer in self.layers.iter() {
             match layer {
@@ -174,25 +144,20 @@ impl<B: Batch> Spine<B> {
                     logic(a);
                     logic(b);
                 }
-                Layer::Stored(stored) => logic(&stored.materialize()),
                 Layer::Taken => unreachable!("transient layer observed"),
             }
         }
     }
 
-    /// A cursor over the union of all batches in the spine. Spilled layers are read
-    /// through streaming cursors that merge transparently with in-memory ones.
-    pub fn cursor(&self) -> CursorList<LayerCursor<B>> {
+    /// A cursor over the union of all batches in the spine.
+    pub fn cursor(&self) -> CursorList<B::Cursor> {
         let mut cursors = Vec::with_capacity(self.layers.len() + 1);
         for layer in self.layers.iter() {
             match layer {
-                Layer::Single(batch) => cursors.push(LayerCursor::Mem(batch.cursor())),
+                Layer::Single(batch) => cursors.push(batch.cursor()),
                 Layer::Merging(a, b, _) => {
-                    cursors.push(LayerCursor::Mem(a.cursor()));
-                    cursors.push(LayerCursor::Mem(b.cursor()));
-                }
-                Layer::Stored(stored) => {
-                    cursors.push(LayerCursor::Stored(Box::new(stored.cursor())));
+                    cursors.push(a.cursor());
+                    cursors.push(b.cursor());
                 }
                 Layer::Taken => unreachable!("transient layer observed"),
             }
@@ -308,53 +273,12 @@ impl<B: Batch> Spine<B> {
     }
 }
 
-impl<B: Batch> Spine<B>
-where
-    B::Key: StoreData,
-    B::Val: StoreData,
-    B::Time: StoreData,
-    B::Diff: StoreData,
-{
-    /// Spills the oldest settled in-memory layer to a sorted-run file at `path`.
-    ///
-    /// Returns `Ok(false)` without touching the disk when there is nothing to spill:
-    /// every layer is already stored, or the oldest in-memory layer is mid-merge (it
-    /// will become spillable when the merge completes). On I/O failure the layer stays
-    /// in memory and the error is returned.
-    pub fn spill_oldest(&mut self, path: &Path) -> io::Result<bool> {
-        let Some(position) = self
-            .layers
-            .iter()
-            .position(|l| !matches!(l, Layer::Stored(_)))
-        else {
-            return Ok(false);
-        };
-        if !matches!(self.layers[position], Layer::Single(_)) {
-            return Ok(false);
-        }
-        let Layer::Single(batch) = std::mem::replace(&mut self.layers[position], Layer::Taken)
-        else {
-            unreachable!("layer changed variant underfoot");
-        };
-        match spill_batch(&batch, path) {
-            Ok(stored) => {
-                self.layers[position] = Layer::Stored(stored);
-                Ok(true)
-            }
-            Err(error) => {
-                self.layers[position] = Layer::Single(batch);
-                Err(error)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cursor::{cursor_to_updates, Cursor};
     use crate::ord_batch::{OrdValBatch, OrdValBuilder};
-    use crate::{BatchReader, Builder};
+    use crate::Builder;
 
     type TestBatch = OrdValBatch<u64, u64, u64, isize>;
 
@@ -453,82 +377,6 @@ mod tests {
         cursor.seek_key(&2);
         assert_eq!(*cursor.key(), 2);
         assert_eq!(cursor.accumulate_until(&10), Some(1));
-    }
-
-    fn temp_run_dir(tag: &str) -> std::path::PathBuf {
-        use kpg_sync::atomic::{AtomicU64, Ordering};
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let unique = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("kpg-spine-{tag}-{}-{unique}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    #[test]
-    fn spilled_layers_answer_like_memory() {
-        let mut spine = Spine::new(MergeEffort::Lazy);
-        for epoch in 0..32u64 {
-            spine.insert(batch(
-                epoch,
-                epoch + 1,
-                vec![(epoch % 8, epoch, epoch, 1), (100 + epoch, 7, epoch, 1)],
-            ));
-        }
-        for _ in 0..64 {
-            spine.exert(1024);
-        }
-        let mut expected = cursor_to_updates(&mut spine.cursor());
-        expected.sort();
-
-        let dir = temp_run_dir("answers");
-        let mut spilled = 0usize;
-        while spine
-            .spill_oldest(&dir.join(format!("layer-{spilled}.run")))
-            .unwrap()
-        {
-            spilled += 1;
-        }
-        assert!(spilled >= 1, "expected at least one spilled layer");
-        assert_eq!(spine.stored_layer_count(), spilled);
-        assert_eq!(spine.in_memory_len(), 0, "every settled layer should spill");
-        assert_eq!(spine.len(), 64);
-
-        let mut observed = cursor_to_updates(&mut spine.cursor());
-        observed.sort();
-        assert_eq!(observed, expected);
-
-        // Seeks work across stored layers too.
-        let mut cursor = spine.cursor();
-        cursor.seek_key(&107);
-        assert!(cursor.key_valid());
-        assert_eq!(*cursor.key(), 107);
-        assert_eq!(cursor.accumulate_until(&100), Some(1));
-
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn spine_accepts_inserts_after_spilling() {
-        let dir = temp_run_dir("grow");
-        let mut spine = Spine::new(MergeEffort::Eager);
-        spine.insert(batch(0, 1, vec![(1, 10, 0, 1), (2, 20, 0, 1)]));
-        assert!(spine.spill_oldest(&dir.join("layer-0.run")).unwrap());
-        // A fully spilled spine reports no spillable layer rather than erroring.
-        assert!(!spine.spill_oldest(&dir.join("layer-1.run")).unwrap());
-        spine.insert(batch(1, 2, vec![(1, 10, 1, -1), (3, 30, 1, 1)]));
-        let mut observed = cursor_to_updates(&mut spine.cursor());
-        observed.sort();
-        assert_eq!(
-            observed,
-            vec![(1, 10, 0, 1), (1, 10, 1, -1), (2, 20, 0, 1), (3, 30, 1, 1)]
-        );
-        // map_batches materializes the stored layer for whole-batch consumers.
-        let mut total = 0;
-        spine.map_batches(|batch| total += batch.len());
-        assert_eq!(total, 4);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -306,9 +306,9 @@ fn put_count(out: &mut Vec<u8>, count: usize, what: &str) {
 
 /// A protocol value: encodable to and decodable from the version-prefixed byte layout.
 ///
-/// `encode_body` / `decode_body` handle the value itself; [`WireCodec::encode`] and
-/// [`WireCodec::decode`] add (and check) the leading [`VERSION`] byte and require full
-/// consumption — they are what frames carry.
+/// `encode_body` / `decode_body` handle the value itself; [`WireCodec::encode`],
+/// [`WireCodec::encode_into`] and [`WireCodec::decode`] add (and check) the leading
+/// [`VERSION`] byte and require full consumption — they are what frames carry.
 pub trait WireCodec: Sized {
     /// Appends the value's body (no version byte) to `out`.
     fn encode_body(&self, out: &mut Vec<u8>);
@@ -318,9 +318,16 @@ pub trait WireCodec: Sized {
 
     /// The full message: version byte + body.
     fn encode(&self) -> Vec<u8> {
-        let mut out = vec![VERSION];
-        self.encode_body(&mut out);
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
         out
+    }
+
+    /// Appends the full message to `out`, so a caller encoding many messages can
+    /// reuse one buffer instead of allocating each.
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.push(VERSION);
+        self.encode_body(out);
     }
 
     /// Decodes a full message: checks the version byte, decodes the body, and requires
