@@ -9,24 +9,21 @@
 //! the first and second halves of the run and prints the high-water marks alongside the
 //! final live counts.
 //!
-//! With `--plan`, the same loop is driven through the runtime-plan engine instead of
-//! compiled closures: every install is a `Command::Install` carrying a [`Plan`] value,
-//! rendered by the per-worker [`Manager`] against its memoized shared arrangement of
-//! the edges. Comparing the `churn` and `churn_plan` BENCH records (same flags)
-//! measures what plan compilation, the uniform row representation, and the command
-//! protocol cost relative to the closure baseline.
+//! The loop runs through the runtime-plan engine: every install is a `Command::Install`
+//! carrying a [`Plan`] value, rendered by the per-worker [`Manager`] against its shared,
+//! source-keyed arrangement of the edges, and the run emits a `churn_plan` BENCH record.
 //!
-//! With `--durable` (implies `--plan`), worker 0 additionally writes every command to
-//! a real `kpg_store` WAL with the server's group-commit discipline — staged per
-//! epoch, committed and fsynced when the epoch advances — and the run is compared
-//! against an identical in-memory run. Three extra BENCH records come out:
+//! With `--durable`, worker 0 additionally writes every command to a real `kpg_store`
+//! WAL with the server's group-commit discipline — staged per epoch, committed and
+//! fsynced when the epoch advances — and the run is compared against an identical
+//! in-memory run. Three extra BENCH records come out:
 //! `churn_plan_durable` (the churn numbers plus the steady-state ratio vs memory),
 //! `wal_append` (logged bytes/sec and fsync-batched commit latency), and
 //! `recovery_replay` (commands/sec replaying the finished log into a fresh
 //! [`Manager`]).
 //!
 //! Run with `cargo run --release -p kpg_bench --bin churn -- [--queries 1000]
-//! [--batch 4] [--workers 1] [--nodes 500] [--edges 4000] [--plan] [--durable]`.
+//! [--batch 4] [--workers 1] [--nodes 500] [--edges 4000] [--durable]`.
 //! Emits one-line `BENCH {...}` JSON records for scripts, plus human-readable
 //! summaries.
 
@@ -34,10 +31,8 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use kpg_bench::{arg_flag, arg_string, arg_usize, bench_record, num, text, LatencyRecorder};
-use kpg_core::prelude::*;
-use kpg_dataflow::Time;
+use kpg_dataflow::{execute, Config, Time, Worker};
 use kpg_graph::generate;
-use kpg_graph::interactive::{InteractiveSession, QueryIo};
 use kpg_graph::plans::{edge_row, lookup_plan, node_row, two_hop_plan};
 use kpg_plan::{ArrangeKey, Command, KeySpec, Manager, Plan};
 use kpg_store::{Wal, WalBatch};
@@ -128,7 +123,7 @@ struct ChurnStats {
     slots_final: usize,
     reader_count_final: usize,
     graph_size_final: usize,
-    /// Worker 0's WAL cost, present only in a `--durable` plan run.
+    /// Worker 0's WAL cost, present only in a `--durable` run.
     wal: Option<WalReport>,
 }
 
@@ -189,138 +184,11 @@ impl Classes {
     }
 }
 
-fn run(
-    queries: usize,
-    batch: usize,
-    workers: usize,
-    nodes: u32,
-    edges: usize,
-    classes: Classes,
-) -> ChurnStats {
-    let results = execute(Config::new(workers), move |worker| {
-        let peers = worker.peers();
-        let index = worker.index();
-
-        // The shared arrangement: ingested once, published by name, imported by every
-        // query the loop installs.
-        let catalog = Catalog::new();
-        let mut session = InteractiveSession::install(worker, &catalog, "edges");
-        for (i, edge) in generate::uniform(nodes, edges, 42).into_iter().enumerate() {
-            if i % peers == index {
-                session.edges.insert(edge);
-            }
-        }
-        let mut epoch = 1u64;
-        session.edges.advance_to(epoch);
-        let graph_probe = session.graph_probe.clone();
-        worker.step_while(|| graph_probe.less_than(&Time::from_epoch(epoch)));
-
-        // All workers draw the same pseudo-random argument stream so their control flow
-        // stays in lockstep; sharding decides who actually inserts each update.
-        let mut rng = SmallRng::seed_from_u64(7);
-        let mut stats = ChurnStats::new();
-
-        let mut installed_total = 0usize;
-        let mut round = 0usize;
-        while installed_total < queries {
-            let burst = batch.min(queries - installed_total);
-
-            // Install a burst of query classes against the published arrangement,
-            // alternating between point look-ups and 2-hop queries.
-            let mut handles: Vec<QueryHandle<QueryIo<u32, (u32, u32)>>> = Vec::with_capacity(burst);
-            for b in 0..burst {
-                let id = installed_total + b;
-                let name = format!("q-{id}");
-                let handle = stats.install.time(|| {
-                    if classes.lookup_at(id) {
-                        session.install_lookup(worker, &name).expect("fresh name")
-                    } else {
-                        session.install_two_hop(worker, &name).expect("fresh name")
-                    }
-                });
-                handles.push(handle);
-            }
-
-            // Pose one argument per query and mutate the graph, the paper's open-loop
-            // half-queries / half-updates mix; everything lands in the next epoch.
-            for (j, handle) in handles.iter_mut().enumerate() {
-                let argument = rng.gen_range(0..nodes);
-                if j % peers == index {
-                    handle.result.input.insert(argument);
-                }
-            }
-            let addition = (rng.gen_range(0..nodes), rng.gen_range(0..nodes));
-            if round % peers == index {
-                session.edges.insert(addition);
-            }
-            epoch += 1;
-            session.edges.advance_to(epoch);
-            for handle in handles.iter_mut() {
-                handle.result.input.advance_to(epoch);
-            }
-
-            // Step until every query's answers are current, timing each step: per-step
-            // cost in the second half of the run must match the first half if retired
-            // slots really leave the scheduler.
-            let probes: Vec<ProbeHandle> = handles
-                .iter()
-                .map(|handle| handle.result.probe.clone())
-                .collect();
-            let target = Time::from_epoch(epoch);
-            let steps = if installed_total * 2 < queries {
-                &mut stats.steps_first_half
-            } else {
-                &mut stats.steps_second_half
-            };
-            let settle_start = Instant::now();
-            while probes.iter().any(|probe| probe.less_than(&target)) {
-                let step_start = Instant::now();
-                worker.step();
-                steps.record(step_start.elapsed());
-            }
-            stats.settle.record(settle_start.elapsed());
-
-            stats.slot_high_water = stats.slot_high_water.max(worker.dataflow_count());
-            stats.shared_entries_high_water = stats
-                .shared_entries_high_water
-                .max(worker.shared_dataflow_entries());
-            stats.reader_slots_high_water = stats
-                .reader_slots_high_water
-                .max(session.graph_reader_slots());
-
-            // Retire the whole burst; slots and readers must be reclaimed.
-            for handle in handles {
-                let name = handle.name().to_string();
-                stats
-                    .uninstall
-                    .time(|| assert!(session.uninstall(worker, &name)));
-            }
-            installed_total += burst;
-            round += 1;
-        }
-
-        // Steady state after the churn: an idle step sweeps live dataflows only, so its
-        // cost is independent of how many queries ever existed.
-        for _ in 0..100 {
-            let step_start = Instant::now();
-            worker.step();
-            stats.steady.record(step_start.elapsed());
-        }
-
-        stats.live_final = worker.live_dataflow_count();
-        stats.slots_final = worker.dataflow_count();
-        stats.reader_count_final = session.graph_reader_count();
-        stats.graph_size_final = session.graph_size();
-        stats
-    });
-    results.into_iter().next().expect("at least one worker")
-}
-
-/// The same install → pose → probe → uninstall loop, driven through the runtime-plan
-/// engine: every worker executes an identical command stream against its [`Manager`].
+/// The install → pose → probe → uninstall loop: every worker executes an identical
+/// command stream against its [`Manager`].
 /// With `wal_dir`, worker 0 also logs every command with the server's group-commit
 /// discipline, so the run measures churn with a real fsync on every epoch seal.
-fn run_plan(
+fn run(
     queries: usize,
     batch: usize,
     workers: usize,
@@ -346,8 +214,7 @@ fn run_plan(
         };
 
         // The shared input: ingested once, keyed by source node so every installed
-        // plan imports the base arrangement directly — the exact analogue of the
-        // closure session publishing its by-source graph arrangement.
+        // plan imports the base arrangement directly.
         exec(
             worker,
             &mut manager,
@@ -385,7 +252,7 @@ fn run_plan(
             let burst = batch.min(queries - installed_total);
 
             // Install a burst of plans, alternating query classes; each carries its own
-            // query-local argument input, exactly as the closure version does.
+            // query-local argument input.
             let mut names = Vec::with_capacity(burst);
             for b in 0..burst {
                 let id = installed_total + b;
@@ -536,8 +403,8 @@ fn run_durable(
     ));
     let _ = std::fs::remove_dir_all(&wal_dir);
 
-    let memory = run_plan(queries, batch, workers, nodes, edges, classes, None);
-    let stats = run_plan(
+    let memory = run(queries, batch, workers, nodes, edges, classes, None);
+    let stats = run(
         queries,
         batch,
         workers,
@@ -644,17 +511,9 @@ fn main() {
     let nodes = arg_usize("--nodes", 500) as u32;
     let edges = arg_usize("--edges", 4000);
     let durable = arg_flag("--durable");
-    // Durability is a property of the command protocol, so it implies plan mode.
-    let plan_mode = arg_flag("--plan") || durable;
     let classes = Classes::parse(&arg_string("--classes", "mixed"));
 
-    let mode = if durable {
-        "durable plan"
-    } else if plan_mode {
-        "plan"
-    } else {
-        "closure"
-    };
+    let mode = if durable { "durable plan" } else { "plan" };
     println!(
         "# Query churn ({mode} mode, {} classes): {queries} queries in bursts of {batch}, \
          {workers} workers, {nodes} nodes / {edges} edges",
@@ -665,11 +524,7 @@ fn main() {
         run_durable(queries, batch, workers, nodes, edges, classes);
         return;
     }
-    let stats = if plan_mode {
-        run_plan(queries, batch, workers, nodes, edges, classes, None)
-    } else {
-        run(queries, batch, workers, nodes, edges, classes)
-    };
+    let stats = run(queries, batch, workers, nodes, edges, classes, None);
 
     println!("\n## Install / settle / uninstall latency");
     stats.install.print_summary("install");
@@ -692,9 +547,8 @@ fn main() {
         stats.reader_slots_high_water, stats.reader_count_final
     );
 
-    let record = if plan_mode { "churn_plan" } else { "churn" };
     bench_record(
-        record,
+        "churn_plan",
         &[
             ("queries", num(queries)),
             ("batch", num(batch)),

@@ -1,99 +1,178 @@
 //! Interactive graph query experiments: Figures 5a/5b/5c and Table 10 (E6–E9).
 //!
-//! An evolving random graph is maintained while the four query classes (look-up, 1-hop,
-//! 2-hop, 4-hop path) are issued; latencies are reported as complementary CDFs, and the
-//! shared-arrangement and per-query-arrangement variants are compared on both latency and
-//! the number of updates held across arrangements (the memory proxy for Figure 5c).
+//! An evolving random graph is maintained while the four query classes of
+//! `kpg_graph::plans` (look-up, 1-hop, 2-hop, 4-hop path) are posed against it through a
+//! [`Manager`]. Each round splits its graph changes into one slice per class. Each class
+//! then poses its arguments in an epoch of its own, together with its slice, and the
+//! settle of that epoch is the class's latency sample. The arguments are retracted in a
+//! further, untimed epoch, so no class pays for another's retraction.
 //!
-//! Run with `cargo run --release -p kpg-bench --bin graph_interactive [--nodes 2000]`.
+//! The shared run installs every class against one `edges` input. The not-shared run
+//! gives each class its own `edges-<class>` input, fed every graph update, so the
+//! manager keeps one graph arrangement per class — what a system without inter-query
+//! sharing must do. Latencies are reported as complementary CDFs, and the two runs are
+//! compared on per-class latency and on the updates held by their graph arrangements
+//! (the memory proxy for Figure 5c).
+//!
+//! Run with `cargo run --release -p kpg_bench --bin graph_interactive -- [--nodes 2000]
+//! [--edges 12800] [--rounds 100] [--changes 20]`.
 
 use kpg_bench::{arg_usize, LatencyRecorder};
-use kpg_core::prelude::*;
-use kpg_dataflow::Time;
-use kpg_graph::generate;
-use kpg_graph::interactive::interactive_queries;
+use kpg_dataflow::{execute, Config, Worker};
+use kpg_graph::plans::{
+    edge_row, four_path_plan, lookup_plan, node_row, one_hop_plan, pair_row, two_hop_plan,
+};
+use kpg_graph::{generate, Edge};
+use kpg_plan::{ArrangeKey, Command, KeySpec, Manager, Plan, Row};
 use kpg_timestamp::rng::SmallRng;
 
+/// Builds a class's plan from its graph input and argument input names.
+type ClassPlan = fn(&str, &str) -> Plan;
+
+/// The four query classes in report order: label and plan. The last one takes
+/// `(src, dst)` pair arguments, the others single nodes.
+const CLASSES: [(&str, ClassPlan); 4] = [
+    ("lookup", lookup_plan),
+    ("1-hop", one_hop_plan),
+    ("2-hop", two_hop_plan),
+    ("4-hop", four_path_plan),
+];
+
 struct RunResult {
-    lookup: LatencyRecorder,
-    one_hop: LatencyRecorder,
-    two_hop: LatencyRecorder,
-    four_path: LatencyRecorder,
+    /// Per-class settle latencies, in [`CLASSES`] order.
+    latencies: [LatencyRecorder; 4],
+    /// Updates held by the graph arrangements, summed over the graph inputs.
     arrangement_size: usize,
 }
 
-fn run(shared: bool, nodes: u32, edges: usize, rounds: usize, per_round: usize) -> RunResult {
-    let results = execute(Config::new(1), move |worker| {
-        let mut queries = worker.dataflow(|builder| interactive_queries(builder, shared));
-        let graph = generate::evolving(nodes, edges, rounds, per_round, 77);
-        for edge in graph.initial.iter() {
-            queries.edges.insert(*edge);
+fn exec(manager: &mut Manager, worker: &mut Worker, command: Command) {
+    manager
+        .execute(worker, command)
+        .expect("graph_interactive command");
+}
+
+fn update(manager: &mut Manager, worker: &mut Worker, name: &str, row: Row, diff: isize) {
+    let name = name.to_string();
+    exec(manager, worker, Command::Update { name, row, diff });
+}
+
+/// The share of a round's `changes` that lands in `class`'s epoch.
+fn slice(changes: &[Edge], class: usize) -> &[Edge] {
+    let len = changes.len();
+    &changes[len * class / CLASSES.len()..len * (class + 1) / CLASSES.len()]
+}
+
+/// One run. `shared` selects one graph input for every class or one per class; `batch`
+/// is the number of arguments each class poses per round.
+fn run(
+    shared: bool,
+    nodes: u32,
+    edges: usize,
+    rounds: usize,
+    per_round: usize,
+    batch: usize,
+) -> RunResult {
+    let mut results = execute(Config::new(1), move |worker| {
+        let mut manager = Manager::new();
+        let inputs: Vec<String> = if shared {
+            vec!["edges".into()]
+        } else {
+            CLASSES
+                .iter()
+                .map(|(class, _)| format!("edges-{class}"))
+                .collect()
+        };
+        for name in &inputs {
+            let name = name.clone();
+            let key_arity = Some(1);
+            exec(
+                &mut manager,
+                worker,
+                Command::CreateInput { name, key_arity },
+            );
         }
-        let mut epoch = 0u64;
-        let probe = queries.probe.clone();
-        epoch += 1;
-        queries.advance_to(epoch);
-        worker.step_while(|| probe.less_than(&Time::from_epoch(epoch)));
+        for (index, (class, plan)) in CLASSES.iter().enumerate() {
+            let args = format!("args-{class}");
+            let command = Command::Install {
+                name: (*class).to_string(),
+                plan: plan(&inputs[index % inputs.len()], &args),
+                locals: vec![args],
+            };
+            exec(&mut manager, worker, command);
+        }
+        let update_graph = |manager: &mut Manager, worker: &mut Worker, edge: Edge, diff| {
+            for name in &inputs {
+                update(manager, worker, name, edge_row(edge), diff);
+            }
+        };
+
+        let graph = generate::evolving(nodes, edges, rounds, per_round, 77);
+        for &edge in &graph.initial {
+            update_graph(&mut manager, worker, edge, 1);
+        }
+        let mut epoch = 1u64;
+        exec(&mut manager, worker, Command::AdvanceTime { epoch });
+        manager.settle(worker);
 
         let mut rng = SmallRng::seed_from_u64(13);
-        let mut lookup = LatencyRecorder::new();
-        let mut one_hop = LatencyRecorder::new();
-        let mut two_hop = LatencyRecorder::new();
-        let mut four_path = LatencyRecorder::new();
+        let mut latencies: [LatencyRecorder; 4] = Default::default();
+        for (adds, dels) in &graph.rounds {
+            for (index, recorder) in latencies.iter_mut().enumerate() {
+                let args = format!("args-{}", CLASSES[index].0);
+                let posed: Vec<Row> = (0..batch)
+                    .map(|_| {
+                        let node = rng.gen_range(0..nodes);
+                        // The 4-hop path class takes a (src, dst) pair.
+                        if index == 3 {
+                            pair_row((node, rng.gen_range(0..nodes)))
+                        } else {
+                            node_row(node)
+                        }
+                    })
+                    .collect();
+                for row in &posed {
+                    update(&mut manager, worker, &args, row.clone(), 1);
+                }
+                for &edge in slice(adds, index) {
+                    update_graph(&mut manager, worker, edge, 1);
+                }
+                for &edge in slice(dels, index) {
+                    update_graph(&mut manager, worker, edge, -1);
+                }
+                epoch += 1;
+                exec(&mut manager, worker, Command::AdvanceTime { epoch });
+                recorder.time(|| manager.settle(worker));
 
-        for (adds, dels) in graph.rounds.iter() {
-            // Half graph changes, half query changes, as in the paper's open-loop mix.
-            for edge in adds {
-                queries.edges.insert(*edge);
+                // Retire the arguments so state stays proportional to the graph.
+                for row in posed {
+                    update(&mut manager, worker, &args, row, -1);
+                }
+                epoch += 1;
+                exec(&mut manager, worker, Command::AdvanceTime { epoch });
+                manager.settle(worker);
             }
-            for edge in dels {
-                queries.edges.remove(*edge);
-            }
-            let l = rng.gen_range(0..nodes);
-            let o = rng.gen_range(0..nodes);
-            let t = rng.gen_range(0..nodes);
-            let pair = (rng.gen_range(0..nodes), rng.gen_range(0..nodes));
-            queries.lookup.insert(l);
-            queries.one_hop.insert(o);
-            queries.two_hop.insert(t);
-            queries.four_path.insert(pair);
-            epoch += 1;
-            queries.advance_to(epoch);
-            let target = Time::from_epoch(epoch);
-            // Measure the latency to fully process the round, attributing it to each
-            // query class in turn (they are maintained by the same synchronized step).
-            let elapsed = {
-                let start = std::time::Instant::now();
-                worker.step_while(|| probe.less_than(&target));
-                start.elapsed()
-            };
-            lookup.record(elapsed);
-            one_hop.record(elapsed);
-            two_hop.record(elapsed);
-            four_path.record(elapsed);
-            // Retire the queries so state stays proportional to the graph.
-            queries.lookup.remove(l);
-            queries.one_hop.remove(o);
-            queries.two_hop.remove(t);
-            queries.four_path.remove(pair);
         }
-        (
-            lookup,
-            one_hop,
-            two_hop,
-            four_path,
-            queries.arrangement_size(),
-        )
+
+        let arrangement_size = inputs
+            .iter()
+            .map(|input| {
+                let key = ArrangeKey {
+                    plan: Plan::source(input),
+                    keys: KeySpec::Columns(vec![0]),
+                };
+                let name = manager.arrangement_name(&key).expect("graph arrangement");
+                manager
+                    .catalog()
+                    .arrangement_size(&name)
+                    .expect("published")
+            })
+            .sum();
+        RunResult {
+            latencies,
+            arrangement_size,
+        }
     });
-    let (lookup, one_hop, two_hop, four_path, arrangement_size) =
-        results.into_iter().next().expect("one worker");
-    RunResult {
-        lookup,
-        one_hop,
-        two_hop,
-        four_path,
-        arrangement_size,
-    }
+    results.remove(0)
 }
 
 fn main() {
@@ -105,25 +184,29 @@ fn main() {
     println!("# Interactive graph queries: {nodes} nodes, {edges} edges, {rounds} rounds");
 
     println!("\n## Figure 5a: per-class latency CCDF (shared arrangement)");
-    let shared = run(true, nodes, edges, rounds, per_round);
-    shared.lookup.print_ccdf("lookup");
-    shared.one_hop.print_ccdf("1-hop");
-    shared.two_hop.print_ccdf("2-hop");
-    shared.four_path.print_ccdf("4-hop");
+    let shared = run(true, nodes, edges, rounds, per_round, 1);
+    for ((class, _), latency) in CLASSES.iter().zip(&shared.latencies) {
+        latency.print_ccdf(class);
+    }
 
-    println!("\n## Figure 5b: query mix, shared vs not shared");
-    let not_shared = run(false, nodes, edges, rounds, per_round);
-    shared.lookup.print_summary("shared");
-    not_shared.lookup.print_summary("not-shared");
+    println!("\n## Figure 5b: per-class latency, shared vs not shared");
+    let not_shared = run(false, nodes, edges, rounds, per_round, 1);
+    for (index, (class, _)) in CLASSES.iter().enumerate() {
+        shared.latencies[index].print_summary(&format!("{class} shared"));
+        not_shared.latencies[index].print_summary(&format!("{class} not-shared"));
+    }
 
     println!("\n## Figure 5c: arrangement footprint (updates held, proxy for resident set)");
     println!("shared\t{} updates", shared.arrangement_size);
     println!("not shared\t{} updates", not_shared.arrangement_size);
 
-    println!("\n## Table 10: average latency vs concurrent query batch size");
-    println!("batch\tlookup avg (ms)");
+    println!("\n## Table 10: look-up latency vs concurrent query batch size");
+    println!("batch\tlookup median (ms)");
     for batch in [1usize, 10, 100] {
-        let result = run(true, nodes, edges, rounds.min(20), per_round * batch);
-        println!("{batch}\t{:.3}", result.lookup.median().as_secs_f64() * 1e3);
+        let result = run(true, nodes, edges, rounds.min(20), per_round, batch);
+        println!(
+            "{batch}\t{:.3}",
+            result.latencies[0].median().as_secs_f64() * 1e3
+        );
     }
 }

@@ -1,11 +1,9 @@
 //! The four interactive query classes of §6.2, *expressed as runtime plans*.
 //!
-//! [`interactive`](crate::interactive) builds these queries as closures compiled into
-//! the binary; this module states the same queries as [`Plan`] values a
-//! [`Manager`](kpg_plan::Manager) can install from data — the shape a query server
-//! receives over the wire. `crates/graph/tests/plan_equivalence.rs` proves the two
-//! formulations produce identical output updates; `churn --plan` measures the
-//! plan-compilation overhead against the closure baseline.
+//! Each class is a [`Plan`] value a [`Manager`](kpg_plan::Manager) can install from
+//! data — the shape a query server receives over the wire.
+//! `crates/graph/tests/plan_equivalence.rs` checks every class against the plain-`std`
+//! references in [`baseline`](crate::baseline).
 //!
 //! Row conventions: edges are `[src, dst]`, node arguments are `[node]`, pair arguments
 //! are `[src, dst]` — all as [`Value::UInt`].
@@ -39,16 +37,13 @@ pub fn row_u32(row: &Row, index: usize) -> u32 {
 }
 
 /// Point look-up: for every argument node, its out-neighbours — `[q, dst]` rows.
-///
-/// The plan-IR rendering of
-/// [`InteractiveSession::install_lookup`](crate::interactive::InteractiveSession::install_lookup).
 pub fn lookup_plan(edges: &str, args: &str) -> Plan {
     // key [q] ++ left rest [] ++ right rest [dst]  =  [q, dst]
     Plan::source(args).join(Plan::source(edges), vec![(0, 0)])
 }
 
 /// 1-hop: the same dataflow shape as look-up, kept separate to model a distinct query
-/// class (as the closure version does).
+/// class.
 pub fn one_hop_plan(edges: &str, args: &str) -> Plan {
     lookup_plan(edges, args)
 }

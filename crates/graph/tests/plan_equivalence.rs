@@ -1,22 +1,21 @@
-//! Plan/closure equivalence: the plan-IR formulations of the §6.2 query classes must
-//! produce the *same output updates* as the closure-built `InteractiveSession` versions.
+//! Plan/reference agreement: the plan-IR formulations of the §6.2 query classes
+//! (`kpg_graph::plans`) must answer exactly as the plain-`std` references in
+//! `kpg_graph::baseline`, which share no code with the dataflow engine.
 //!
-//! Both formulations are driven with an identical seeded workload (same initial graph,
-//! same per-epoch argument and edge churn, same epochs); every captured `(answer, time,
-//! diff)` stream is consolidated (sorted, coalesced, zeros dropped) and the two sides
-//! compared for equality — on 1 and 2 workers, with the multi-worker streams unioned
-//! across workers first. Consolidation is the right equality: batching granularity
-//! within an epoch is an implementation detail, the consolidated update set is the
-//! semantics.
+//! A seeded workload (an initial graph, then per-epoch argument and edge churn) runs as
+//! a `Manager` command stream on 1 and 2 workers, with the base arrangement keyed by
+//! whole rows (`key_arity: None`, the memoized re-arrangement path) and by source
+//! (`Some(1)`, the direct import path). After every epoch each query's answer —
+//! `Manager::query`, summed across the workers' shards — must equal the reference
+//! evaluated on the accumulated edges and arguments.
 
-use kpg_core::prelude::*;
-use kpg_dataflow::Time;
-use kpg_graph::generate;
-use kpg_graph::interactive::InteractiveSession;
+use std::collections::BTreeMap;
+
+use kpg_dataflow::{execute, Config, Worker};
 use kpg_graph::plans::{
-    edge_row, four_path_plan, lookup_plan, node_row, pair_row, row_u32, two_hop_plan,
+    edge_row, four_path_plan, lookup_plan, node_row, one_hop_plan, pair_row, row_u32, two_hop_plan,
 };
-use kpg_graph::Edge;
+use kpg_graph::{baseline, generate, Edge};
 use kpg_plan::{Command, Manager, Row};
 use kpg_timestamp::rng::SmallRng;
 
@@ -25,7 +24,10 @@ const INITIAL_EDGES: usize = 150;
 const EPOCHS: u64 = 6;
 const SEED: u64 = 11;
 
-/// One epoch's interactive activity, identical for both formulations.
+/// The installed queries, in the order answers are reported.
+const QUERIES: [&str; 4] = ["lookup", "one-hop", "two-hop", "four-path"];
+
+/// One epoch's interactive activity.
 struct Step {
     node_args: Vec<u32>,
     pair_args: Vec<(u32, u32)>,
@@ -58,118 +60,19 @@ fn workload() -> (Vec<Edge>, Vec<Step>) {
     (initial, steps)
 }
 
-/// Sorts, coalesces, and drops zeros: the canonical form of an update stream.
-fn consolidated<D: Ord + Clone>(streams: Vec<Vec<(D, Time, isize)>>) -> Vec<(D, Time, isize)> {
-    let mut updates: Vec<(D, Time, isize)> = streams.into_iter().flatten().collect();
-    updates.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
-    let mut result: Vec<(D, Time, isize)> = Vec::new();
-    for (data, time, diff) in updates {
-        match result.last_mut() {
-            Some((d, t, r)) if *d == data && *t == time => *r += diff,
-            _ => result.push((data, time, diff)),
-        }
-    }
-    result.retain(|(_, _, diff)| *diff != 0);
-    result
+/// An answer as `u32` columns with multiplicities.
+type Answer = BTreeMap<Vec<u32>, isize>;
+
+/// Each query's answer after every epoch, in [`QUERIES`] order.
+type Answers = Vec<[Answer; 4]>;
+
+fn columns(row: &Row) -> Vec<u32> {
+    (0..row.len()).map(|index| row_u32(row, index)).collect()
 }
 
-type PairUpdates = Vec<((u32, u32), Time, isize)>;
-type TripleUpdates = Vec<((u32, u32, u32), Time, isize)>;
-
-/// The closure formulation: `InteractiveSession` with the three query classes installed
-/// up front, driven through the shared workload.
-fn run_closures(workers: usize) -> (PairUpdates, PairUpdates, TripleUpdates) {
-    let per_worker = execute(Config::new(workers), move |worker| {
-        let peers = worker.peers();
-        let index = worker.index();
-        let (initial, steps) = workload();
-
-        let catalog = Catalog::new();
-        let mut session = InteractiveSession::install(worker, &catalog, "edges");
-        let mut lookup = session.install_lookup(worker, "lookup").unwrap();
-        let mut two_hop = session.install_two_hop(worker, "two-hop").unwrap();
-        let mut four_path = session.install_four_path(worker, "four-path").unwrap();
-
-        for (i, edge) in initial.into_iter().enumerate() {
-            if i % peers == index {
-                session.edges.insert(edge);
-            }
-        }
-        let mut epoch = 0u64;
-        for step in steps {
-            for (i, &arg) in step.node_args.iter().enumerate() {
-                if i % peers == index {
-                    lookup.result.input.insert(arg);
-                    two_hop.result.input.insert(arg);
-                }
-            }
-            for (i, &pair) in step.pair_args.iter().enumerate() {
-                if i % peers == index {
-                    four_path.result.input.insert(pair);
-                }
-            }
-            for (i, &edge) in step.additions.iter().enumerate() {
-                if i % peers == index {
-                    session.edges.insert(edge);
-                }
-            }
-            for (i, &edge) in step.removals.iter().enumerate() {
-                if i % peers == index {
-                    session.edges.remove(edge);
-                }
-            }
-            epoch += 1;
-            session.edges.advance_to(epoch);
-            lookup.result.input.advance_to(epoch);
-            two_hop.result.input.advance_to(epoch);
-            four_path.result.input.advance_to(epoch);
-            let target = Time::from_epoch(epoch);
-            let probes = [
-                lookup.result.probe.clone(),
-                two_hop.result.probe.clone(),
-                four_path.result.probe.clone(),
-            ];
-            worker.step_while(|| probes.iter().any(|probe| probe.less_than(&target)));
-        }
-        let four: TripleUpdates = four_path
-            .result
-            .results
-            .borrow()
-            .iter()
-            .map(|&(((src, dst), hops), time, diff)| ((src, dst, hops), time, diff))
-            .collect();
-        let lookup_updates = lookup.result.results.borrow().clone();
-        let two_hop_updates = two_hop.result.results.borrow().clone();
-        (lookup_updates, two_hop_updates, four)
-    });
-    let mut lookups = Vec::new();
-    let mut two_hops = Vec::new();
-    let mut fours = Vec::new();
-    for (lookup, two_hop, four) in per_worker {
-        lookups.push(lookup);
-        two_hops.push(two_hop);
-        fours.push(four);
-    }
-    (
-        consolidated(lookups),
-        consolidated(two_hops),
-        consolidated(fours),
-    )
-}
-
-fn pair_updates(raw: Vec<(Row, Time, isize)>) -> Vec<((u32, u32), Time, isize)> {
-    raw.into_iter()
-        .map(|(row, time, diff)| ((row_u32(&row, 0), row_u32(&row, 1)), time, diff))
-        .collect()
-}
-
-/// The plan formulation: the same workload executed as a `Manager` command stream.
-/// `key_arity` selects the base-arrangement keying: `None` exercises the memoized
-/// re-arrangement path, `Some(1)` the direct prefix-keyed import path.
-fn run_plans(
-    workers: usize,
-    key_arity: Option<usize>,
-) -> (PairUpdates, PairUpdates, TripleUpdates) {
+/// The workload as a `Manager` command stream, identical on every worker. Returns the
+/// per-epoch answers summed across the workers' shards.
+fn run_plans(workers: usize, key_arity: Option<usize>) -> Answers {
     let per_worker = execute(Config::new(workers), move |worker| {
         let (initial, steps) = workload();
         let mut manager = Manager::new();
@@ -184,18 +87,11 @@ fn run_plans(
                 key_arity,
             },
         );
-        for (name, plan, locals) in [
-            ("lookup", lookup_plan("edges", "lookup-args"), "lookup-args"),
-            (
-                "two-hop",
-                two_hop_plan("edges", "two-hop-args"),
-                "two-hop-args",
-            ),
-            (
-                "four-path",
-                four_path_plan("edges", "four-path-args"),
-                "four-path-args",
-            ),
+        for (name, plan) in [
+            ("lookup", lookup_plan("edges", "lookup-args")),
+            ("one-hop", one_hop_plan("edges", "one-hop-args")),
+            ("two-hop", two_hop_plan("edges", "two-hop-args")),
+            ("four-path", four_path_plan("edges", "four-path-args")),
         ] {
             run(
                 &mut manager,
@@ -203,30 +99,23 @@ fn run_plans(
                 Command::Install {
                     name: name.into(),
                     plan,
-                    locals: vec![locals.into()],
+                    locals: vec![format!("{name}-args")],
                 },
             );
         }
-        let update =
-            |manager: &mut Manager, worker: &mut Worker, name: &str, row: Row, diff: isize| {
-                manager
-                    .execute(
-                        worker,
-                        Command::Update {
-                            name: name.into(),
-                            row,
-                            diff,
-                        },
-                    )
-                    .unwrap();
-            };
+        let update = |manager: &mut Manager, worker: &mut Worker, name: &str, row, diff| {
+            let name = name.into();
+            run(manager, worker, Command::Update { name, row, diff });
+        };
         for edge in initial {
             update(&mut manager, worker, "edges", edge_row(edge), 1);
         }
+        let mut answers = Vec::new();
         for (index, step) in steps.into_iter().enumerate() {
             for &arg in &step.node_args {
-                update(&mut manager, worker, "lookup-args", node_row(arg), 1);
-                update(&mut manager, worker, "two-hop-args", node_row(arg), 1);
+                for args in ["lookup-args", "one-hop-args", "two-hop-args"] {
+                    update(&mut manager, worker, args, node_row(arg), 1);
+                }
             }
             for &pair in &step.pair_args {
                 update(&mut manager, worker, "four-path-args", pair_row(pair), 1);
@@ -240,69 +129,99 @@ fn run_plans(
             let epoch = index as u64 + 1;
             run(&mut manager, worker, Command::AdvanceTime { epoch });
             manager.settle(worker);
+            answers.push(QUERIES.map(|name| manager.query(name).unwrap()));
         }
-        let four: TripleUpdates = manager
-            .raw_results("four-path")
-            .unwrap()
-            .into_iter()
-            .map(|(row, time, diff)| {
-                (
-                    (row_u32(&row, 0), row_u32(&row, 1), row_u32(&row, 2)),
-                    time,
-                    diff,
-                )
-            })
-            .collect();
-        (
-            pair_updates(manager.raw_results("lookup").unwrap()),
-            pair_updates(manager.raw_results("two-hop").unwrap()),
-            four,
-        )
+        answers
     });
-    let mut lookups = Vec::new();
-    let mut two_hops = Vec::new();
-    let mut fours = Vec::new();
-    for (lookup, two_hop, four) in per_worker {
-        lookups.push(lookup);
-        two_hops.push(two_hop);
-        fours.push(four);
+    let mut summed: Answers = vec![Default::default(); EPOCHS as usize];
+    for answers in per_worker {
+        for (epoch, shards) in answers.into_iter().enumerate() {
+            for (total, shard) in summed[epoch].iter_mut().zip(shards) {
+                for (row, diff) in shard {
+                    *total.entry(columns(&row)).or_insert(0) += diff;
+                }
+            }
+        }
     }
-    (
-        consolidated(lookups),
-        consolidated(two_hops),
-        consolidated(fours),
-    )
+    for answer in summed.iter_mut().flatten() {
+        answer.retain(|_, diff| *diff != 0);
+    }
+    summed
 }
 
-fn assert_equivalent(workers: usize) {
-    let (closure_lookup, closure_two_hop, closure_four) = run_closures(workers);
+/// The reference answers after every epoch, recomputed from the accumulated edges and
+/// arguments.
+fn reference() -> Answers {
+    let (initial, steps) = workload();
+    let mut edges: BTreeMap<Edge, isize> = BTreeMap::new();
+    for edge in initial {
+        *edges.entry(edge).or_insert(0) += 1;
+    }
+    let mut nodes: BTreeMap<u32, isize> = BTreeMap::new();
+    let mut pairs: BTreeMap<Edge, isize> = BTreeMap::new();
+    let pair_answer = |answer: BTreeMap<Edge, isize>| -> Answer {
+        answer
+            .into_iter()
+            .map(|((src, dst), diff)| (vec![src, dst], diff))
+            .collect()
+    };
+    let mut answers = Vec::new();
+    for step in steps {
+        for arg in step.node_args {
+            *nodes.entry(arg).or_insert(0) += 1;
+        }
+        for pair in step.pair_args {
+            *pairs.entry(pair).or_insert(0) += 1;
+        }
+        for edge in step.additions {
+            *edges.entry(edge).or_insert(0) += 1;
+        }
+        for edge in step.removals {
+            *edges.entry(edge).or_insert(0) -= 1;
+        }
+        let lookup = pair_answer(baseline::lookup(&edges, &nodes));
+        answers.push([
+            lookup.clone(),
+            lookup,
+            pair_answer(baseline::two_hop(&edges, &nodes)),
+            baseline::four_path(&edges, &pairs)
+                .into_iter()
+                .map(|((src, dst, hops), diff)| (vec![src, dst, hops], diff))
+                .collect(),
+        ]);
+    }
+    answers
+}
+
+fn assert_plans_match_reference(workers: usize) {
+    let expected = reference();
+    let last = expected.last().expect("the workload has epochs");
     assert!(
-        !closure_two_hop.is_empty(),
-        "the workload must exercise the queries"
+        last.iter().all(|answer| !answer.is_empty()),
+        "the workload must exercise every query"
     );
     for key_arity in [None, Some(1)] {
-        let (plan_lookup, plan_two_hop, plan_four) = run_plans(workers, key_arity);
-        assert_eq!(
-            closure_lookup, plan_lookup,
-            "lookup updates diverge on {workers} workers (key_arity {key_arity:?})"
-        );
-        assert_eq!(
-            closure_two_hop, plan_two_hop,
-            "2-hop updates diverge on {workers} workers (key_arity {key_arity:?})"
-        );
-        assert_eq!(
-            closure_four, plan_four,
-            "4-hop path updates diverge on {workers} workers (key_arity {key_arity:?})"
-        );
+        let answers = run_plans(workers, key_arity);
+        for (epoch, (got, want)) in answers.iter().zip(&expected).enumerate() {
+            for (name, (got, want)) in QUERIES.iter().zip(got.iter().zip(want)) {
+                assert_eq!(
+                    got,
+                    want,
+                    "{name} diverges from the reference after epoch {} on {workers} \
+                     workers (key_arity {key_arity:?})",
+                    epoch + 1
+                );
+            }
+        }
     }
 }
 
 #[test]
-fn plan_and_closure_two_hop_agree_on_one_worker() {
-    assert_equivalent(1);
+fn plans_match_reference_on_one_worker() {
+    assert_plans_match_reference(1);
 }
 
 #[test]
-fn plan_and_closure_two_hop_agree_on_two_workers() {
-    assert_equivalent(2);
+fn plans_match_reference_on_two_workers() {
+    assert_plans_match_reference(2);
 }

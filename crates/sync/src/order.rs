@@ -1,11 +1,11 @@
 //! Debug-build lock-order analysis.
 //!
-//! Every [`Mutex`](crate::Mutex)/[`RwLock`](crate::RwLock) acquisition adds edges
-//! `held → acquired` to one process-wide directed graph. An edge that closes a cycle
-//! means two code paths acquire the same locks in opposite orders — a deadlock that
-//! needs only the right interleaving — and panics immediately, on whichever schedule
-//! actually ran, with the chain of acquisition sites. Recursive acquisition of one
-//! lock (guaranteed self-deadlock with std's non-reentrant primitives) panics too.
+//! Every [`Mutex`](crate::Mutex) acquisition adds edges `held → acquired` to one
+//! process-wide directed graph. An edge that closes a cycle means two code paths
+//! acquire the same locks in opposite orders — a deadlock that needs only the right
+//! interleaving — and panics immediately, on whichever schedule actually ran, with the
+//! chain of acquisition sites. Recursive acquisition of one lock (guaranteed
+//! self-deadlock with std's non-reentrant primitives) panics too.
 //!
 //! The analysis keys locks by address, records the most recent acquisition site per
 //! lock for diagnostics, and drops a lock's node when the lock itself drops (so a

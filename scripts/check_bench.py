@@ -18,19 +18,8 @@ import sys
 # Per-record required keys, by record name. Names absent from this table are
 # only checked for basic shape (a JSON object with a string `name`).
 SCHEMAS = {
-    "churn": {
-        "queries",
-        "workers",
-        "install_median_ns",
-        "install_p99_ns",
-        "step_median_ns_first_half",
-        "step_median_ns_second_half",
-        "steady_step_median_ns",
-        "slot_high_water",
-        "reader_slots_high_water",
-    },
-    # The plan-mode churn record must stay field-compatible with the closure
-    # baseline so the two stay directly comparable.
+    # Query churn through `Manager::execute`: install latency, per-step cost in
+    # each half of the run and the slot / reader-table high-water marks.
     "churn_plan": {
         "queries",
         "workers",
@@ -42,7 +31,7 @@ SCHEMAS = {
         "slot_high_water",
         "reader_slots_high_water",
     },
-    # Durable plan-mode churn: the plan fields plus the steady-state ratio against
+    # Durable churn: the `churn_plan` fields plus the steady-state ratio against
     # the in-memory run — the durability acceptance number (must stay near 1x).
     "churn_plan_durable": {
         "queries",
